@@ -23,7 +23,7 @@ COMPRESS_PAIRS := 'bytes:EncodeDeltaQuant8=EncodeDeltaFloat64@0.25,allocs:Divide
 # form exactly (ReportMetric-pinned, gated from both sides).
 SCALE_PAIRS := 'allocs:MultiLayerAggregateWorkers4=MultiLayerAggregateSerial@1.001,bytes:MultiLayerBytesMeasured=MultiLayerBytesClosedForm@1.0,bytes:MultiLayerBytesClosedForm=MultiLayerBytesMeasured@1.0'
 
-.PHONY: all build vet test race chaos-smoke check bench bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale
+.PHONY: all build vet test cross race chaos-smoke check bench bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale
 
 all: check
 
@@ -35,6 +35,19 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Cross-architecture gate for the matmul kernels (DESIGN.md §7): the
+# pure-Go fallback must build off amd64, the kernels and the pinned
+# train step must pass under GOAMD64=v3 code generation, and arm64 code
+# for internal/tensor must contain no fused multiply-add, which would
+# round differently from the amd64 kernel (it has no FMA by design).
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
+	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/nn/
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor 2>&1) || { echo "$$asm"; exit 1; }; \
+	echo "$$asm" | grep -q STEXT || { echo 'cross: no arm64 assembly listing for internal/tensor'; exit 1; }; \
+	if echo "$$asm" | grep -E 'FN?M(ADD|SUB)D'; then echo 'cross: fused multiply-add in arm64 internal/tensor'; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -150,4 +163,4 @@ test-byzantine:
 	$(GO) test -race -run 'Byzantine|Guard|Equivocat|PoisonScale|SignFlip|CorruptShares|InflatedSubtotals|HonestWitness|Robust' \
 		./internal/sac/ ./internal/core/ ./internal/chaos/
 
-check: vet build test race chaos-smoke
+check: vet build test cross race chaos-smoke

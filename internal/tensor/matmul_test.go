@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -13,8 +14,25 @@ func forceParallelism(t *testing.T, n int) {
 	t.Cleanup(func() { SetParallelism(old) })
 }
 
+// bitsEqual reports whether a and b have the same shape and the same
+// bits in every element (so it tells -0 from +0 and compares NaNs).
+func bitsEqual(a, b *Tensor) bool {
+	if !SameShape(a, b) {
+		return false
+	}
+	for i, v := range a.data {
+		if math.Float64bits(v) != math.Float64bits(b.data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // refMatMul is a naive triple loop used as the ground truth for every
-// kernel variant.
+// kernel variant. It accumulates each element from +0 in ascending
+// order of the shared index with every product rounded before the add,
+// the order and rounding the kernels guarantee, so they must match it
+// bit for bit.
 func refMatMul(a, b *Tensor, transA, transB bool) *Tensor {
 	var m, k, n int
 	at := func(i, p int) float64 { return a.data[i*a.shape[1]+p] }
@@ -36,7 +54,7 @@ func refMatMul(a, b *Tensor, transA, transB bool) *Tensor {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for p := 0; p < k; p++ {
-				s += at(i, p) * bt(p, j)
+				s += float64(at(i, p) * bt(p, j))
 			}
 			c.data[i*n+j] = s
 		}
@@ -66,7 +84,7 @@ func TestMatMulVariantsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := refMatMul(a, b, false, false); !AllClose(got, want, 1e-9) {
+			if want := refMatMul(a, b, false, false); !bitsEqual(got, want) {
 				t.Fatalf("par=%d MatMul %v differs from reference", par, s)
 			}
 
@@ -75,7 +93,7 @@ func TestMatMulVariantsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := refMatMul(at, b, true, false); !AllClose(got, want, 1e-9) {
+			if want := refMatMul(at, b, true, false); !bitsEqual(got, want) {
 				t.Fatalf("par=%d MatMulTransA %v differs from reference", par, s)
 			}
 
@@ -84,7 +102,7 @@ func TestMatMulVariantsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := refMatMul(a, bt, false, true); !AllClose(got, want, 1e-9) {
+			if want := refMatMul(a, bt, false, true); !bitsEqual(got, want) {
 				t.Fatalf("par=%d MatMulTransB %v differs from reference", par, s)
 			}
 		}
@@ -201,6 +219,70 @@ func TestMatMulTransAAccAccumulates(t *testing.T) {
 	for i, v := range acc.data {
 		if diff := v - (prod.data[i] + 1); diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("acc[%d] = %v, want %v", i, v, prod.data[i]+1)
+		}
+	}
+}
+
+// TestMatMulZeroTimesNonFiniteIsNaN: 0·±Inf and 0·NaN are NaN in IEEE
+// arithmetic, and a diverged model must not have them masked to a
+// finite 0 for small operands while large ones report NaN. Every
+// flavour returns the same NaN bits below and above parallelFlops.
+func TestMatMulZeroTimesNonFiniteIsNaN(t *testing.T) {
+	forceParallelism(t, 2)
+	nonFinite := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	type flavour struct {
+		name string
+		run  func(m, k, n int) *Tensor
+	}
+	rng := rand.New(rand.NewSource(13))
+	flavours := []flavour{
+		{"MatMul", func(m, k, n int) *Tensor {
+			a, b := randMat(rng, m, k), randMat(rng, k, n)
+			a.data[0] = 0           // A(0, 0)
+			copy(b.data, nonFinite) // B(0, 0..2)
+			c, err := MatMul(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"MatMulTransAAcc", func(m, k, n int) *Tensor {
+			a, b := randMat(rng, k, m), randMat(rng, k, n)
+			a.data[0] = 0
+			copy(b.data, nonFinite)
+			c := New(m, n)
+			if err := MatMulTransAAcc(c, a, b); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"MatMulTransB", func(m, k, n int) *Tensor {
+			a, b := randMat(rng, m, k), randMat(rng, n, k)
+			a.data[0] = 0
+			for j, v := range nonFinite {
+				b.data[j*k] = v // B(0, j) of the transposed operand
+			}
+			c, err := MatMulTransB(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	}
+	for _, f := range flavours {
+		small := f.run(3, 4, 5)
+		large := f.run(96, 128, 48)
+		if 2*3*4*5 >= parallelFlops || 2*96*128*48 < parallelFlops {
+			t.Fatal("shapes no longer straddle parallelFlops")
+		}
+		for j := range nonFinite {
+			s, l := small.data[j], large.data[j]
+			if !math.IsNaN(s) || !math.IsNaN(l) {
+				t.Fatalf("%s: C(0,%d) = %v (small), %v (large); want NaN", f.name, j, s, l)
+			}
+			if math.Float64bits(s) != math.Float64bits(l) {
+				t.Fatalf("%s: C(0,%d) bits %#x (small) vs %#x (large)", f.name, j, math.Float64bits(s), math.Float64bits(l))
+			}
 		}
 	}
 }
