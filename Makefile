@@ -36,18 +36,23 @@ vet:
 test:
 	$(GO) test ./...
 
-# Cross-architecture gate for the matmul kernels (DESIGN.md §7): the
-# pure-Go fallback must build off amd64, the kernels and the pinned
-# train step must pass under GOAMD64=v3 code generation, and arm64 code
-# for internal/tensor must contain no fused multiply-add, which would
-# round differently from the amd64 kernel (it has no FMA by design).
+# Cross-architecture gate for the matmul and aggregation kernels
+# (DESIGN.md §7): the pure-Go fallback must build off amd64, the kernels
+# and the pinned train step must pass under GOAMD64=v3 code generation,
+# and arm64 code for internal/tensor, internal/sac and
+# internal/secretshare must contain no fused multiply-add, which would
+# round differently from amd64 (the kernels have no FMA by design).
+FMA_FREE := ./internal/tensor ./internal/sac ./internal/secretshare
+
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=386 $(GO) build ./...
 	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/nn/
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor 2>&1) || { echo "$$asm"; exit 1; }; \
-	echo "$$asm" | grep -q STEXT || { echo 'cross: no arm64 assembly listing for internal/tensor'; exit 1; }; \
-	if echo "$$asm" | grep -E 'FN?M(ADD|SUB)D'; then echo 'cross: fused multiply-add in arm64 internal/tensor'; exit 1; fi
+	@for pkg in $(FMA_FREE); do \
+		asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S $$pkg 2>&1) || { echo "$$asm"; exit 1; }; \
+		echo "$$asm" | grep -q STEXT || { echo "cross: no arm64 assembly listing for $$pkg"; exit 1; }; \
+		if echo "$$asm" | grep -E 'FN?M(ADD|SUB)D'; then echo "cross: fused multiply-add in arm64 $$pkg"; exit 1; fi; \
+	done
 
 race:
 	$(GO) test -race ./...

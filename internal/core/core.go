@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/compress"
 	"repro/internal/fl"
@@ -53,11 +52,6 @@ type Config struct {
 	Fraction float64
 	// Divider selects the secret-sharing scheme (nil: paper's Alg. 1).
 	Divider secretshare.Divider
-	// Parallel fans the independent subgroup SACs out across goroutines
-	// (deterministic per-subgroup rng streams; shared thread-safe
-	// traffic counter). Purely a wall-clock optimization: results and
-	// byte counts are unaffected.
-	Parallel bool
 	// Aggregator selects the upper-layer combination rule (nil: FedAvg).
 	// The paper notes the system is agnostic to this choice; robust
 	// rules (fl.CoordinateMedian, fl.TrimmedMean) resist poisoned
@@ -78,10 +72,7 @@ type Config struct {
 	// 2(m−1)·|w| to (m²−1)+(m−1) = (m²+m−2)·|w|.
 	SecureUpper bool
 	// Telemetry, when non-nil, receives round/* lifecycle metrics and is
-	// threaded into every subgroup SAC and mesh. In Parallel mode the
-	// counters stay exact (atomic and commutative) but trace-event order
-	// across subgroups follows goroutine scheduling; deterministic
-	// snapshots therefore require serial mode.
+	// threaded into every subgroup SAC and mesh.
 	Telemetry *telemetry.Registry
 	// Compression, when enabled, compresses the FedAvg-layer model-delta
 	// traffic — uploads (subgroup leader → FedAvg leader), downloads and
@@ -180,9 +171,8 @@ type System struct {
 	counter *transport.Counter
 	rng     *rand.Rand
 	tel     sysTel
-	// scratches[g] is subgroup g's SAC scratch, reused round over round.
-	// One per subgroup keeps Parallel mode safe (a Scratch must not be
-	// shared by concurrent aggregations); the upper layer has its own.
+	// scratches[g] is subgroup g's SAC scratch, reused round over round;
+	// the upper layer has its own.
 	scratches    []*sac.Scratch
 	upperScratch *sac.Scratch
 }
@@ -374,7 +364,7 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	}
 	subCounts := make([]float64, m)
 
-	// Validate leaders and precompute subgroup offsets before fanning out.
+	// Validate leaders and precompute subgroup offsets before any SAC runs.
 	// Degraded subgroups skip leader validation: a subgroup without
 	// quorum may legitimately have no leader at all.
 	offsets := make([]int, m)
@@ -390,24 +380,22 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		}
 		off += size
 	}
-	// Subgroup SACs are independent; with Parallel they fan out across
-	// goroutines (each with its own rng stream drawn deterministically
-	// from the system rng), sharing the thread-safe traffic counter.
-	seeds := make([]int64, m)
-	for g := range seeds {
-		seeds[g] = s.rng.Int63()
-	}
+	// Subgroup SACs run one after another, each on its own rng stream
+	// seeded from the system rng; their dim-long passes fan out over the
+	// tensor pool by coordinate panels, so the pool budget is the one
+	// parallelism knob and trace order stays deterministic.
 	sacResults := make([]*sac.Result, m)
-	runSubgroup := func(g int, rng *rand.Rand) {
+	for g := 0; g < m; g++ {
+		seed := s.rng.Int63()
 		if degraded[g] {
-			return // no quorum: the round proceeds without this subgroup
+			continue // no quorum: the round proceeds without this subgroup
 		}
 		size := s.cfg.Sizes[g]
 		mesh := transport.NewMesh(size, s.counter)
 		mesh.SetTelemetry(s.cfg.Telemetry)
 		cfg := sac.Config{
 			N: size, K: s.cfg.thresholdFor(g, size), Leader: leaders[g], Mode: sac.ModeLeader,
-			Divider: s.cfg.Divider, Rng: rng, Telemetry: s.cfg.Telemetry,
+			Divider: s.cfg.Divider, Rng: rand.New(rand.NewSource(seed)), Telemetry: s.cfg.Telemetry,
 			Scratch:   s.scratches[g],
 			Adversary: spec.Adversary[g], Guard: s.cfg.Guard,
 		}
@@ -416,21 +404,6 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 			sacResults[g] = r
 		} else {
 			s.tel.sacFailed.Inc()
-		}
-	}
-	if s.cfg.Parallel {
-		var wg sync.WaitGroup
-		for g := 0; g < m; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				runSubgroup(g, rand.New(rand.NewSource(seeds[g])))
-			}(g)
-		}
-		wg.Wait()
-	} else {
-		for g := 0; g < m; g++ {
-			runSubgroup(g, rand.New(rand.NewSource(seeds[g])))
 		}
 	}
 	var okSubs []int

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -12,16 +13,15 @@ import (
 
 // Soak: every optional feature at once — fault-tolerant subgroups with
 // periodic dropouts, slow subgroups (p<1), partial client participation,
-// weak DP noise, robust upper-layer aggregation and parallel subgroup
-// execution — over a longer run. The system must stay numerically sane
-// and still learn.
+// weak DP noise, robust upper-layer aggregation and a parallel pool
+// budget — over a longer run. The system must stay numerically sane,
+// still learn, and match the budget-1 run exactly.
 func TestSoakAllFeaturesTogether(t *testing.T) {
 	cfg := TrainerConfig{
 		Core: Config{
 			Sizes:      []int{3, 3, 3, 3},
 			K:          []int{2},
 			Fraction:   0.75,
-			Parallel:   true,
 			Aggregator: fl.TrimmedMean{Trim: 0.1},
 		},
 		Model: func(rng *rand.Rand) (*nn.Model, error) {
@@ -40,9 +40,18 @@ func TestSoakAllFeaturesTogether(t *testing.T) {
 		DPClip:         2,
 		Seed:           91,
 	}
-	s, err := RunTraining(cfg)
+	var s, serial *Series
+	var err error
+	withParallelism(4, func() { s, err = RunTraining(cfg) })
 	if err != nil {
 		t.Fatal(err)
+	}
+	withParallelism(1, func() { serial, err = RunTraining(cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s, serial) {
+		t.Fatal("pool budget 4 changed the training series")
 	}
 	if s.FinalAcc() < 0.5 {
 		t.Fatalf("soak accuracy = %v", s.FinalAcc())
@@ -60,10 +69,7 @@ func TestSoakAllFeaturesTogether(t *testing.T) {
 }
 
 // Determinism: identical configs produce identical series (the basis of
-// the reproducibility claims in EXPERIMENTS.md). Parallel mode is
-// excluded — subgroup goroutines may interleave counter updates but the
-// per-round bytes and results stay equal; here we check the strict
-// sequential path bit-for-bit.
+// the reproducibility claims in EXPERIMENTS.md), bit for bit.
 func TestTrainingDeterministic(t *testing.T) {
 	run := func() *Series {
 		cfg := tinyTrainerConfig(false, []int{3, 3}, dataset.NonIID0, 92)

@@ -46,8 +46,7 @@ type TrainerConfig struct {
 	BatchSize    int
 
 	// Workers bounds how many selected clients train concurrently each
-	// round (mirroring Config.Parallel for the aggregation layer). 0 or 1
-	// trains serially. Any value yields bit-identical results: each
+	// round. 0 or 1 trains serially. Any value yields bit-identical results: each
 	// client owns its model, optimizer, data partition and seeded RNGs,
 	// and losses/weights are reduced in client-index order.
 	Workers int

@@ -43,16 +43,36 @@ func WeightedAverage(models [][]float64, counts []float64) ([]float64, error) {
 		return nil, fmt.Errorf("fl: all sample counts are zero")
 	}
 	out := make([]float64, dim)
-	for i, m := range models {
-		f := counts[i] / total
-		if f == 0 {
-			continue
-		}
-		for j, v := range m {
-			out[j] += f * v
+	tensor.ParallelVec(dim, &weightedSum{dst: out, models: models, counts: counts, total: total})
+	return out, nil
+}
+
+// weightedSum writes dst[j] = 0 + f_0·w_0[j] + f_1·w_1[j] + … with
+// f_i = counts[i]/total, skipping zero fractions, in model order. It
+// works in L1-sized blocks and fans out over the tensor pool by
+// coordinate panels; each coordinate's order is fixed, so the average
+// is bit-identical at any pool budget.
+type weightedSum struct {
+	dst    []float64
+	models [][]float64
+	counts []float64
+	total  float64
+}
+
+func (k *weightedSum) Rows(lo, hi int) {
+	for b := lo; b < hi; b += tensor.VecBlock {
+		dst := k.dst[b:min(b+tensor.VecBlock, hi)]
+		clear(dst)
+		for i, m := range k.models {
+			f := k.counts[i] / k.total
+			if f == 0 {
+				continue
+			}
+			for j, v := range m[b : b+len(dst)] {
+				dst[j] += f * v
+			}
 		}
 	}
-	return out, nil
 }
 
 // UniformAverage averages flat weight vectors with equal weights — the

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/tensor"
 )
 
 func TestWeightedAverageKnown(t *testing.T) {
@@ -40,6 +41,48 @@ func TestWeightedAverageErrors(t *testing.T) {
 	}
 	if _, err := WeightedAverage([][]float64{{1}}, []float64{0}); err == nil {
 		t.Fatal("want zero-total error")
+	}
+}
+
+// TestWeightedAverageMatchesSerialLoop pins the blocked, fanned-out
+// kernel to the plain loop it replaced, bit for bit at every pool
+// budget: zero fractions skipped, each coordinate accumulated from +0 in
+// model order (so an all −0 column averages to +0).
+func TestWeightedAverageMatchesSerialLoop(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	rng := rand.New(rand.NewSource(3))
+	dim := 2*tensor.ParallelVecFloor + tensor.VecBlock/2 + 1
+	models := make([][]float64, 4)
+	for i := range models {
+		models[i] = make([]float64, dim)
+		for j := range models[i] {
+			models[i][j] = rng.NormFloat64()
+		}
+		models[i][0] = math.Copysign(0, -1)
+	}
+	models[1][1], models[2][2] = math.Inf(1), math.NaN()
+	counts := []float64{3, 0, 7, 1}
+	want := make([]float64, dim)
+	for i, m := range models {
+		f := counts[i] / 11
+		if f == 0 {
+			continue
+		}
+		for j, v := range m {
+			want[j] += f * v
+		}
+	}
+	for _, budget := range []int{1, 2, 3} {
+		tensor.SetParallelism(budget)
+		got, err := WeightedAverage(models, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("budget %d: coord %d = %v, want %v", budget, j, got[j], want[j])
+			}
+		}
 	}
 }
 

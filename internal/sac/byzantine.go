@@ -176,7 +176,10 @@ func attackModel(b Behavior, w []float64) []float64 {
 func (e *engine) corruptedCopy(share []float64) []float64 {
 	out := make([]float64, len(share))
 	for x, v := range share {
-		out[x] = v + (e.rng.Float64()*2-1)*CorruptNoiseAmp
+		// Explicit conversions round each step, so no fused multiply-add
+		// changes the noise on any architecture.
+		u := float64(e.rng.Float64())
+		out[x] = v + float64((float64(u*2)-1)*CorruptNoiseAmp)
 	}
 	return out
 }
@@ -371,6 +374,16 @@ func (e *engine) auditLeader(have map[int][]float64, avg []float64) error {
 			lie[x] = v + EquivocateOffset
 		}
 	}
+	// Self-consistency: every honest receiver checks that the result is
+	// the average implied by the claims. Summation runs in the same
+	// ascending-index order as average(), so an honest leader matches
+	// bit-for-bit.
+	for s := 0; s < n; s++ {
+		e.sum.srcs = append(e.sum.srcs, claims[s*e.dim:(s+1)*e.dim])
+	}
+	check := make([]float64, e.dim)
+	e.sum.into(check, 1.0/float64(len(e.contributors)))
+	e.sum.reset()
 	accused := false
 	digests := make(map[int]uint64, n)
 	slot := 0
@@ -393,19 +406,6 @@ func (e *engine) auditLeader(have map[int][]float64, avg []float64) error {
 		}
 		if !e.honest(j) {
 			continue
-		}
-		// Self-consistency: the result must be the average implied by the
-		// claims. Summation runs in the same ascending-index order as
-		// average(), so an honest leader matches bit-for-bit.
-		check := make([]float64, e.dim)
-		for s := 0; s < n; s++ {
-			for x := 0; x < e.dim; x++ {
-				check[x] += claims[s*e.dim+x]
-			}
-		}
-		inv := 1.0 / float64(len(e.contributors))
-		for x := range check {
-			check[x] *= inv
 		}
 		if linfDiff(check, result) > tol {
 			accused = true

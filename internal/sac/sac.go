@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/secretshare"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -194,6 +195,7 @@ func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan
 
 	e := &engine{mesh: mesh, cfg: cfg, dim: dim, div: div, rng: rng, crash: crash, tel: newSACTel(cfg.Telemetry), sc: cfg.Scratch}
 	e.sc.begin(cfg.N, dim)
+	e.sum = e.sc.sumKernel()
 	e.tel.roundsStarted.Inc()
 	res, err := e.run(models)
 	if err != nil {
@@ -263,6 +265,7 @@ type engine struct {
 	crash CrashPlan
 	tel   sacTel
 	sc    *Scratch // nil: allocate per round
+	sum   *sumKernel
 
 	contributors []int
 	// subtotals[peer][shareIdx] — computed by peers holding shareIdx.
@@ -421,7 +424,8 @@ func (e *engine) run(models [][]float64) (*Result, error) {
 		}
 		e.subtotals[j] = e.sc.innerMap()
 		for s, byContrib := range received[j] {
-			sub := e.sc.subVec(e.dim)
+			// One fused pass per subtotal, in contributor order:
+			// sub[x] = 0 + sh_c0[x] + sh_c1[x] + ….
 			complete := true
 			for _, c := range e.contributors {
 				sh, ok := byContrib[c]
@@ -429,13 +433,14 @@ func (e *engine) run(models [][]float64) (*Result, error) {
 					complete = false
 					break
 				}
-				for x, v := range sh {
-					sub[x] += v
-				}
+				e.sum.srcs = append(e.sum.srcs, sh)
 			}
 			if complete {
+				sub := e.sc.subVec(e.dim)
+				e.sum.into(sub, 0)
 				e.subtotals[j][s] = sub
 			}
+			e.sum.reset()
 		}
 		e.corruptSubtotals(j)
 	}
@@ -553,9 +558,8 @@ func (e *engine) finishBroadcast() (*Result, error) {
 		if len(got) != n {
 			return nil, fmt.Errorf("%w: peer %d holds %d of %d subtotals", ErrAborted, j, len(got), n)
 		}
-		a := e.average(got)
 		if avg == nil {
-			avg = a
+			avg = e.average(got)
 		}
 	}
 	return &Result{Avg: avg, Contributors: e.contributors}, nil
@@ -654,17 +658,57 @@ func (e *engine) average(subtotals map[int][]float64) []float64 {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
-	avg := make([]float64, e.dim)
 	for _, k := range keys {
-		for x, v := range subtotals[k] {
-			avg[x] += v
+		e.sum.srcs = append(e.sum.srcs, subtotals[k])
+	}
+	avg := make([]float64, e.dim)
+	e.sum.into(avg, 1.0/float64(len(e.contributors)))
+	e.sum.reset()
+	return avg
+}
+
+// sumKernel is the engine's data-plane pass, shared by the subtotals,
+// the average and the leader audit: dst[x] = 0 + srcs[0][x] +
+// srcs[1][x] + …, in srcs order, then ·inv when inv ≠ 0. It works in
+// L1-sized blocks — each output block is zeroed (so an all −0 column
+// still sums to +0) and summed in cache, then written to memory once —
+// and fans out over the tensor pool by coordinate panels above
+// tensor.ParallelVecFloor. Who computes a coordinate never changes what
+// is summed or in what order, so results are bit-identical at any pool
+// budget.
+type sumKernel struct {
+	dst  []float64
+	srcs [][]float64
+	inv  float64
+}
+
+func (k *sumKernel) into(dst []float64, inv float64) {
+	k.dst, k.inv = dst, inv
+	tensor.ParallelVec(len(dst), k)
+	k.dst = nil
+}
+
+// reset empties the source list, keeping its capacity but no references.
+func (k *sumKernel) reset() {
+	clear(k.srcs)
+	k.srcs = k.srcs[:0]
+}
+
+func (k *sumKernel) Rows(lo, hi int) {
+	for b := lo; b < hi; b += tensor.VecBlock {
+		dst := k.dst[b:min(b+tensor.VecBlock, hi)]
+		clear(dst)
+		for _, s := range k.srcs {
+			for x, v := range s[b : b+len(dst)] {
+				dst[x] += v
+			}
+		}
+		if k.inv != 0 {
+			for x := range dst {
+				dst[x] *= k.inv
+			}
 		}
 	}
-	inv := 1.0 / float64(len(e.contributors))
-	for x := range avg {
-		avg[x] *= inv
-	}
-	return avg
 }
 
 // RunWithRestart models the baseline Alg. 2 failure semantics end to end:

@@ -11,8 +11,8 @@ import "repro/internal/secretshare"
 // training, where every round splits the same model dimension across
 // the same subgroup — without re-allocating ~N²·dim floats per round.
 //
-// Reuse is observationally invisible: vectors are zeroed (or fully
-// overwritten) when grabbed, maps are cleared, and Result.Avg is always
+// Reuse is observationally invisible: vectors are fully overwritten
+// after they are grabbed, maps are cleared, and Result.Avg is always
 // freshly allocated, so results stay bit-identical with and without a
 // Scratch. The one sharp edge is aliasing: share and subtotal payloads
 // sent through the mesh point into scratch memory, which the next
@@ -35,6 +35,8 @@ type Scratch struct {
 	inner    []map[int][]float64         // free list of by-contributor maps
 	innNext  int
 
+	sum sumKernel // data-plane kernel and its reusable source list
+
 	subtotals []map[int][]float64 // phase-2 per-peer containers
 	have      map[int][]float64   // leader's collected subtotals
 	keys      []int               // sort scratch for average
@@ -43,9 +45,9 @@ type Scratch struct {
 	// the round shape, so the engine computes it once per shape instead
 	// of n+1 allocations per round (which at X-layer scale — tens of
 	// thousands of subgroup SACs per aggregation — dominated the garbage).
-	replicas  [][]int
-	replFlat  []int
-	replK     int
+	replicas [][]int
+	replFlat []int
+	replK    int
 }
 
 // begin rearms the scratch for a round of shape (n, dim): free lists
@@ -56,7 +58,9 @@ func (s *Scratch) begin(n, dim int) {
 		return
 	}
 	if s.n != n || s.dim != dim {
-		*s = Scratch{n: n, dim: dim}
+		// The source list holds no vectors between rounds, so it
+		// survives a shape change.
+		*s = Scratch{n: n, dim: dim, sum: sumKernel{srcs: s.sum.srcs}}
 	}
 	s.subNext = 0
 	s.innNext = 0
@@ -85,7 +89,8 @@ func (s *Scratch) keepShareScratch(i int, block []float64, views [][]float64) {
 	s.shareViews[i] = views
 }
 
-// subVec returns a zeroed dim-length vector, reusing last round's.
+// subVec returns a dim-length subtotal vector, reusing last round's. Its
+// contents are stale: the subtotal pass overwrites every coordinate.
 func (s *Scratch) subVec(dim int) []float64 {
 	if s == nil {
 		return make([]float64, dim)
@@ -95,10 +100,16 @@ func (s *Scratch) subVec(dim int) []float64 {
 	}
 	v := s.subVecs[s.subNext][:dim]
 	s.subNext++
-	for i := range v {
-		v[i] = 0
-	}
 	return v
+}
+
+// sumKernel returns the engine's data-plane kernel with an empty source
+// list whose capacity survives across rounds.
+func (s *Scratch) sumKernel() *sumKernel {
+	if s == nil {
+		return new(sumKernel)
+	}
+	return &s.sum
 }
 
 // receivedMaps returns the phase-1 receive structure: n empty outer

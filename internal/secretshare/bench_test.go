@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // The Divide benchmarks sweep the weight-vector dimension across three
@@ -44,7 +46,11 @@ func benchDivideInto(b *testing.B, d Divider, dim int) {
 	}
 }
 
+// BenchmarkDivideSerial pins the pool budget to 1 (the inline kernel);
+// BenchmarkDivideParallel runs the same division at the default budget.
 func BenchmarkDivideSerial(b *testing.B) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(1)
 	for _, c := range benchDims {
 		b.Run(c.name, func(b *testing.B) { benchDivideInto(b, ScalarDivider{}, c.dim) })
 	}
@@ -52,7 +58,7 @@ func BenchmarkDivideSerial(b *testing.B) {
 
 func BenchmarkDivideParallel(b *testing.B) {
 	for _, c := range benchDims {
-		b.Run(c.name, func(b *testing.B) { benchDivideInto(b, ScalarDivider{Parallel: true}, c.dim) })
+		b.Run(c.name, func(b *testing.B) { benchDivideInto(b, ScalarDivider{}, c.dim) })
 	}
 }
 

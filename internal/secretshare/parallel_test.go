@@ -9,40 +9,44 @@ import (
 )
 
 // TestParallelDivideBitIdentical pins the batched-kernel contract: at
-// every worker budget, the parallel dividers produce exactly the bytes
-// the serial ones do — same shares bit for bit, same rng state left
-// behind — so flipping Parallel on can never change a training run.
+// every pool budget the dividers produce exactly the bytes of the
+// budget-1 (inline) run — same shares bit for bit, same rng state left
+// behind — so the budget can never change a training run.
 func TestParallelDivideBitIdentical(t *testing.T) {
 	defer tensor.SetParallelism(tensor.Parallelism())
-	const dim, n, seed = 4099, 9, 17 // odd dim: panels cannot split evenly
+	// Odd dim above the fan-out floor: panels cannot split evenly.
+	const n, seed = 9, 17
+	dim := 2*tensor.ParallelVecFloor + 4099
 
 	w := make([]float64, dim)
 	rng := rand.New(rand.NewSource(99))
 	for i := range w {
 		w[i] = rng.NormFloat64()
 	}
+	w[0], w[1], w[2], w[dim-1] = math.Copysign(0, -1), math.Inf(1), math.NaN(), math.Inf(-1)
 
 	cases := []struct {
-		name             string
-		serial, parallel Divider
+		name string
+		d    Divider
 	}{
-		{"scalar", ScalarDivider{}, ScalarDivider{Parallel: true}},
-		{"mask", MaskDivider{Scale: 2}, MaskDivider{Scale: 2, Parallel: true}},
+		{"scalar", ScalarDivider{}},
+		{"mask", MaskDivider{Scale: 2}},
 	}
 	for _, tc := range cases {
+		d := tc.d
 		t.Run(tc.name, func(t *testing.T) {
 			tensor.SetParallelism(1)
 			refRng := rand.New(rand.NewSource(seed))
-			ref, err := tc.serial.Divide(w, n, refRng)
+			ref, err := d.Divide(w, n, refRng)
 			if err != nil {
 				t.Fatal(err)
 			}
 			refNext := refRng.Float64()
 
-			for _, workers := range []int{1, 2, 4, 8} {
+			for _, workers := range []int{2, 3, 4, 8} {
 				tensor.SetParallelism(workers)
 				gotRng := rand.New(rand.NewSource(seed))
-				got, _, err := tc.parallel.DivideInto(w, n, gotRng, nil, nil)
+				got, _, err := d.DivideInto(w, n, gotRng, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,11 +67,12 @@ func TestParallelDivideBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelDivideReconstructs sanity-checks that the parallel kernels
-// still satisfy the additive-share contract.
+// TestParallelDivideReconstructs sanity-checks that the fanned-out
+// kernels still satisfy the additive-share contract.
 func TestParallelDivideReconstructs(t *testing.T) {
-	w := []float64{1.5, -2.25, 0, 3.75, 1e-3}
-	for _, d := range []Divider{ScalarDivider{Parallel: true}, MaskDivider{Parallel: true}} {
+	w := make([]float64, tensor.ParallelVecFloor+5)
+	copy(w, []float64{1.5, -2.25, 0, 3.75, 1e-3})
+	for _, d := range []Divider{ScalarDivider{}, MaskDivider{}} {
 		shares, err := d.Divide(w, 4, rand.New(rand.NewSource(5)))
 		if err != nil {
 			t.Fatal(err)

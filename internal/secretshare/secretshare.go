@@ -62,14 +62,12 @@ func sliceBlock(block []float64, views [][]float64, n, dim int) ([]float64, [][]
 // prn_i·w. Shares are collinear with w; reconstruction is exact in
 // expectation and to rounding in practice.
 //
-// With Parallel set, the share fill fans out over the shared tensor
-// worker pool, split by coordinate panels. The n RNG draws happen
-// serially up front, so the draw order — and therefore every share and
-// the rng state left behind — is bit-identical to the serial kernel at
-// any worker count.
-type ScalarDivider struct {
-	Parallel bool
-}
+// The share fill runs on the shared tensor worker pool, split by
+// coordinate panels, once the vector reaches tensor.ParallelVecFloor.
+// The n RNG draws happen serially up front, so the draw order — and
+// therefore every share and the rng state left behind — is
+// bit-identical at any pool budget.
+type ScalarDivider struct{}
 
 // Name implements Divider.
 func (ScalarDivider) Name() string { return "scalar (Alg. 1)" }
@@ -81,38 +79,53 @@ func (d ScalarDivider) Divide(w []float64, n int, rng *rand.Rand) ([][]float64, 
 	return shares, err
 }
 
+// scalarFill writes shares[i][j] = f[i]·w[j], one L1 block of w at a
+// time.
+type scalarFill struct {
+	w, f   []float64
+	shares [][]float64
+}
+
+func (k *scalarFill) Rows(lo, hi int) {
+	for b := lo; b < hi; b += tensor.VecBlock {
+		w := k.w[b:min(b+tensor.VecBlock, hi)]
+		for i, s := range k.shares {
+			f, s := k.f[i], s[b:b+len(w)]
+			for j, v := range w {
+				s[j] = f * v
+			}
+		}
+	}
+}
+
+// scalarFills recycles fill kernels (and their fraction lists) so a
+// division allocates nothing but its share block.
+var scalarFills tensor.FreeList[scalarFill]
+
 // DivideInto implements Divider.
 func (d ScalarDivider) DivideInto(w []float64, n int, rng *rand.Rand, block []float64, views [][]float64) ([][]float64, []float64, error) {
 	if err := checkDivide(w, n); err != nil {
 		return nil, nil, err
 	}
-	rn := make([]float64, n)
+	k := scalarFills.Get()
+	k.f = k.f[:0]
 	sum := 0.0
-	for i := range rn {
-		// (0,1]: avoid an all-zero draw making the normalizer zero.
-		rn[i] = 1 - rng.Float64()
-		sum += rn[i]
+	for i := 0; i < n; i++ {
+		// (0,1]: avoid an all-zero draw making the normalizer zero. The
+		// conversion keeps arm64 from fusing the draw's scaling into the
+		// subtraction.
+		rn := 1 - float64(rng.Float64())
+		k.f = append(k.f, rn)
+		sum += rn
+	}
+	for i := range k.f {
+		k.f[i] /= sum
 	}
 	block, shares := sliceBlock(block, views, n, len(w))
-	// With a serial pool budget the fan-out cannot help; skipping it also
-	// skips the closure allocation, so Parallel is alloc-free to enable.
-	if d.Parallel && tensor.Parallelism() > 1 {
-		tensor.ParallelRows(len(w), func(lo, hi int) {
-			for i, s := range shares {
-				f := rn[i] / sum
-				for j := lo; j < hi; j++ {
-					s[j] = f * w[j]
-				}
-			}
-		})
-		return shares, block, nil
-	}
-	for i, s := range shares {
-		f := rn[i] / sum
-		for j, v := range w {
-			s[j] = f * v
-		}
-	}
+	k.w, k.shares = w, shares
+	tensor.ParallelVec(len(w), k)
+	k.w, k.shares = nil, nil
+	scalarFills.Put(k)
 	return shares, block, nil
 }
 
@@ -121,15 +134,14 @@ func (d ScalarDivider) DivideInto(w []float64, n int, rng *rand.Rand, block []fl
 // w − Σ(others). Scale should dominate the magnitude of the weights; the
 // zero value uses Scale 1.
 //
-// With Parallel set, the RNG draws still happen serially — in exactly
-// the serial kernel's (share-major, coordinate-minor) order, leaving the
-// rng in the same state — and only the elementwise transform plus the
-// residual subtraction fan out over the tensor worker pool. Each column
-// subtracts its masks in ascending share order just like the serial
-// loop, so the shares are bit-identical at any worker count.
+// The raw uniforms are drawn serially, in share-major, coordinate-minor
+// order, leaving the rng in the same state at any pool budget; only the
+// affine transform and the residual subtraction run on the tensor pool
+// (split by coordinate panels once the vector reaches
+// tensor.ParallelVecFloor). Each coordinate subtracts its masks in
+// ascending share order, so the shares are bit-identical at any budget.
 type MaskDivider struct {
-	Scale    float64
-	Parallel bool
+	Scale float64
 }
 
 // Name implements Divider.
@@ -142,6 +154,36 @@ func (m MaskDivider) Divide(w []float64, n int, rng *rand.Rand) ([][]float64, er
 	return shares, err
 }
 
+// maskFill turns the raw uniforms u held in shares 0..n−2 into masks
+// r = (2u−1)·scale and writes w − r_0 − r_1 − … into the last share,
+// one L1 block at a time.
+type maskFill struct {
+	w      []float64
+	shares [][]float64
+	scale  float64
+}
+
+func (k *maskFill) Rows(lo, hi int) {
+	n := len(k.shares)
+	for b := lo; b < hi; b += tensor.VecBlock {
+		e := min(b+tensor.VecBlock, hi)
+		last := k.shares[n-1][b:e]
+		copy(last, k.w[b:e])
+		for _, s := range k.shares[:n-1] {
+			s := s[b : b+len(last)]
+			for j, u := range s {
+				// Explicit conversions round each step, so no fused
+				// multiply-add changes the masks on any architecture.
+				r := float64((float64(u*2) - 1) * k.scale)
+				s[j] = r
+				last[j] -= r
+			}
+		}
+	}
+}
+
+var maskFills tensor.FreeList[maskFill]
+
 // DivideInto implements Divider.
 func (m MaskDivider) DivideInto(w []float64, n int, rng *rand.Rand, block []float64, views [][]float64) ([][]float64, []float64, error) {
 	if err := checkDivide(w, n); err != nil {
@@ -152,39 +194,16 @@ func (m MaskDivider) DivideInto(w []float64, n int, rng *rand.Rand, block []floa
 		scale = 1
 	}
 	block, shares := sliceBlock(block, views, n, len(w))
-	last := shares[n-1]
-	if !m.Parallel || tensor.Parallelism() == 1 {
-		copy(last, w)
-		for i := 0; i < n-1; i++ {
-			s := shares[i]
-			for j := range s {
-				r := (rng.Float64()*2 - 1) * scale
-				s[j] = r
-				last[j] -= r
-			}
-		}
-		return shares, block, nil
-	}
-	// Parallel: draw the raw uniforms serially in the same
-	// (share-major, coordinate-minor) order as the serial loop, then fan
-	// the affine transform and the residual accumulation out by column.
-	for i := 0; i < n-1; i++ {
-		s := shares[i]
+	for _, s := range shares[:n-1] {
 		for j := range s {
 			s[j] = rng.Float64()
 		}
 	}
-	tensor.ParallelRows(len(w), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			acc := w[j]
-			for i := 0; i < n-1; i++ {
-				r := (shares[i][j]*2 - 1) * scale
-				shares[i][j] = r
-				acc -= r
-			}
-			last[j] = acc
-		}
-	})
+	k := maskFills.Get()
+	k.w, k.shares, k.scale = w, shares, scale
+	tensor.ParallelVec(len(w), k)
+	k.w, k.shares = nil, nil
+	maskFills.Put(k)
 	return shares, block, nil
 }
 

@@ -149,7 +149,7 @@ func gemm(dst, a, b *Tensor, transA, transB, acc bool) {
 		gemmPanel(dst.data, n, view(a, transA), view(b, transB), 0, m, k, !acc)
 		return
 	}
-	parallelRows(m, func(lo, hi int) {
+	ParallelRows(m, func(lo, hi int) {
 		gemmPanel(dst.data, dst.shape[1], view(a, transA), view(b, transB), lo, hi, k, !acc)
 	})
 }

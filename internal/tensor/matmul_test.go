@@ -374,7 +374,7 @@ func TestParallelRowsCoversAllRows(t *testing.T) {
 	forceParallelism(t, 4)
 	for _, rows := range []int{1, 2, 3, 7, 64, 1000} {
 		hit := make([]int32, rows)
-		parallelRows(rows, func(lo, hi int) {
+		ParallelRows(rows, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				hit[i]++
 			}
