@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 # Tier-1 benchmarks: the compute hot path (matmul, im2col, one training
 # step), the per-client and 15-peer round loops, the aggregation
@@ -23,9 +24,13 @@ COMPRESS_PAIRS := 'bytes:EncodeDeltaQuant8=EncodeDeltaFloat64@0.25,allocs:Divide
 # form exactly (ReportMetric-pinned, gated from both sides).
 SCALE_PAIRS := 'allocs:MultiLayerAggregateWorkers4=MultiLayerAggregateSerial@1.001,bytes:MultiLayerBytesMeasured=MultiLayerBytesClosedForm@1.0,bytes:MultiLayerBytesClosedForm=MultiLayerBytesMeasured@1.0'
 
-.PHONY: all build vet test cross race chaos-smoke check bench bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale
+.PHONY: all fmt build vet test cross race chaos-smoke check bench bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale
 
 all: check
+
+# Formatting gate: fails when gofmt would rewrite any file.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -168,4 +173,4 @@ test-byzantine:
 	$(GO) test -race -run 'Byzantine|Guard|Equivocat|PoisonScale|SignFlip|CorruptShares|InflatedSubtotals|HonestWitness|Robust' \
 		./internal/sac/ ./internal/core/ ./internal/chaos/
 
-check: vet build test cross race chaos-smoke
+check: fmt vet build test cross race chaos-smoke

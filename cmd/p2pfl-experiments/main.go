@@ -28,7 +28,7 @@ func main() {
 		rounds   = flag.Int("rounds", 120, "federated training rounds for figs 6-9 (paper: 1000)")
 		trials   = flag.Int("trials", 100, "trials per timeout setting for figs 10-12 (paper: 1000)")
 		maxN     = flag.Int("maxn", 50, "largest N for fig 14")
-		workers  = flag.Int("workers", 0, "concurrent clients/trials per driver (0 = GOMAXPROCS); results are identical at any value")
+		workers  = flag.Int("workers", 0, "concurrent clients/trials per driver (0 = GOMAXPROCS), capped by the shared worker pool's budget (GOMAXPROCS); results are identical at any value")
 		seed     = flag.Int64("seed", 1, "random seed")
 		csvDir   = flag.String("csv", "", "also write full data series as <dir>/<fig>.csv")
 		markdown = flag.String("markdown", "", "write a self-contained markdown report to this file instead of stdout tables")

@@ -225,10 +225,7 @@ func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secr
 	if ms == nil {
 		ms = &MultiLayerScratch{}
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, opts.Workers)
 	before := counter.TotalBytes()
 
 	// value[p] is peer p's current subtree sum: initially a borrowed view
@@ -294,11 +291,7 @@ func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secr
 				value[group[0]] = sum
 			}
 		}
-		if workers == 1 {
-			process(0, len(groups))
-		} else {
-			tensor.ParallelRowsN(len(groups), workers, process)
-		}
+		tensor.ParallelRowsN(len(groups), workers, process)
 		if firstErr != nil {
 			return nil, firstErr
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/dp"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/optim"
 	"repro/internal/sac"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // ModelFactory builds one architecture instance; each peer gets its own.
@@ -45,10 +45,12 @@ type TrainerConfig struct {
 	Epochs       int
 	BatchSize    int
 
-	// Workers bounds how many selected clients train concurrently each
-	// round. 0 or 1 trains serially. Any value yields bit-identical results: each
-	// client owns its model, optimizer, data partition and seeded RNGs,
-	// and losses/weights are reduced in client-index order.
+	// Workers caps how many selected clients train concurrently each
+	// round. The goroutines are borrowed from the shared tensor pool,
+	// so tensor.SetParallelism bounds them too; 0 or 1 trains serially.
+	// Any value yields bit-identical results: each client owns its
+	// model, optimizer, data partition and seeded RNGs, and
+	// losses/weights are reduced in client-index order.
 	Workers int
 
 	// ClientFraction selects the fraction of peers that train each round
@@ -223,38 +225,18 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 			counts[i] = float64(c.SampleCount())
 		}
 
-		// Train the selected clients, fanning out across Workers
-		// goroutines when asked. Each client is self-contained (model,
-		// optimizer, partition, per-client and per-(round,client) RNGs),
-		// so execution order cannot affect any result; the reductions
-		// below walk selIdx in ascending client index, making parallel
-		// runs bit-identical to serial ones.
-		workers := cfg.Workers
-		if workers > len(selIdx) {
-			workers = len(selIdx)
-		}
-		if workers <= 1 {
-			for _, i := range selIdx {
+		// Train the selected clients on up to Workers goroutines of the
+		// shared tensor pool, one contiguous slice of selIdx each. Each
+		// client is self-contained (model, optimizer, partition,
+		// per-client and per-(round,client) RNGs), so execution order
+		// cannot affect any result; the reductions below walk selIdx in
+		// ascending client index, making parallel runs bit-identical to
+		// serial ones.
+		tensor.ParallelRowsN(len(selIdx), max(1, cfg.Workers), func(lo, hi int) {
+			for _, i := range selIdx[lo:hi] {
 				trainOne(i)
 			}
-		} else {
-			idxCh := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range idxCh {
-						trainOne(i)
-					}
-				}()
-			}
-			for _, i := range selIdx {
-				idxCh <- i
-			}
-			close(idxCh)
-			wg.Wait()
-		}
+		})
 
 		lossSum := 0.0
 		trained := len(selIdx)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dp"
+	"repro/internal/tensor"
 )
 
 func equalF64s(a, b []float64) bool {
@@ -47,8 +48,12 @@ func requireIdenticalSeries(t *testing.T, serial, parallel *Series, workers int)
 // the parallel training engine: any worker count produces the exact
 // same Series — accuracy, loss, traffic, and final global weights — as
 // a serial run, because clients are self-contained and reductions walk
-// ascending client index.
+// ascending client index. Workers only caps the shared tensor pool, so
+// the pool budget is raised to the largest worker count to make every
+// count really fan out that wide, however many CPUs the host has.
 func TestWorkersBitIdenticalToSerial(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(4)
 	for _, fraction := range []float64{0, 0.5} {
 		base := tinyTrainerConfig(false, []int{3, 3}, dataset.IID, 7)
 		base.ClientFraction = fraction
@@ -72,6 +77,8 @@ func TestWorkersBitIdenticalToSerial(t *testing.T) {
 // differentially private runs: the DP noise RNG is seeded per
 // (round, client), so it cannot depend on scheduling order.
 func TestWorkersBitIdenticalWithDP(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(3)
 	base := tinyTrainerConfig(false, []int{3, 3}, dataset.IID, 8)
 	base.DP = dp.Gaussian{Epsilon: 50, Delta: 1e-5, Clip: 5}
 	base.DPClip = 5

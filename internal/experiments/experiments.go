@@ -26,8 +26,10 @@ type Params struct {
 	// Trials per timeout setting for Figs. 10–12 (paper: 1000).
 	Trials int
 	// Workers bounds concurrency inside the drivers: recovery trials
-	// (Figs. 10–12) run Workers simulations at a time, and the training
-	// figures pass it through to core.TrainerConfig.Workers. Every
+	// (Figs. 10–12) run up to Workers simulations at a time, and the
+	// training figures pass it through to core.TrainerConfig.Workers.
+	// It is a ceiling on the shared tensor pool, never more goroutines
+	// than tensor.SetParallelism's budget (default GOMAXPROCS). Every
 	// driver is deterministic at any worker count — trials and clients
 	// are independently seeded and reduced in index order. 0 defaults
 	// to GOMAXPROCS.

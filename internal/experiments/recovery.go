@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/raft"
 	"repro/internal/simnet"
+	"repro/internal/tensor"
 )
 
 // TimeoutRanges are the paper's four U(T, 2T) follower/candidate timeout
@@ -139,46 +139,23 @@ func runRecovery(fig, note, kind string, paper map[int]float64, p Params) (*Reco
 	res := &RecoveryResult{Fig: fig, Note: note, Paper: paper}
 	for _, tMs := range TimeoutRanges {
 		// Trials are independent simulations with per-trial seeds, so
-		// they fan out across p.Workers goroutines; samples land at
-		// their trial index, keeping the result order (and therefore the
-		// stats and histograms) identical to a serial run.
+		// they fan out across up to p.Workers goroutines of the shared
+		// tensor pool; samples land at their trial index, keeping the
+		// result order (and therefore the stats and histograms)
+		// identical to a serial run.
 		samples := make([]float64, p.Trials)
 		errs := make([]error, p.Trials)
-		runTrial := func(trial int) {
-			seed := p.Seed + int64(tMs)*100000 + int64(trial)
-			ms, err := recoveryScenario(kind, tMs, seed)
-			if err != nil {
-				errs[trial] = fmt.Errorf("%s T=%d trial=%d: %w", fig, tMs, trial, err)
-				return
+		tensor.ParallelRowsN(p.Trials, max(1, p.Workers), func(lo, hi int) {
+			for trial := lo; trial < hi; trial++ {
+				seed := p.Seed + int64(tMs)*100000 + int64(trial)
+				ms, err := recoveryScenario(kind, tMs, seed)
+				if err != nil {
+					errs[trial] = fmt.Errorf("%s T=%d trial=%d: %w", fig, tMs, trial, err)
+					continue
+				}
+				samples[trial] = ms
 			}
-			samples[trial] = ms
-		}
-		workers := p.Workers
-		if workers > p.Trials {
-			workers = p.Trials
-		}
-		if workers <= 1 {
-			for trial := 0; trial < p.Trials; trial++ {
-				runTrial(trial)
-			}
-		} else {
-			trialCh := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for trial := range trialCh {
-						runTrial(trial)
-					}
-				}()
-			}
-			for trial := 0; trial < p.Trials; trial++ {
-				trialCh <- trial
-			}
-			close(trialCh)
-			wg.Wait()
-		}
+		})
 		for _, err := range errs {
 			if err != nil {
 				return nil, err

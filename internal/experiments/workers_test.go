@@ -1,12 +1,20 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/tensor"
+)
 
 // TestRecoveryWorkersDeterministic checks the parallel trial loop of the
 // recovery figures: Workers > 1 must reproduce the serial samples
 // exactly, because every trial owns a fresh, independently seeded
-// simulation and lands at its own index.
+// simulation and lands at its own index. Workers only caps the shared
+// tensor pool, so the pool budget is raised to 3 to make the parallel
+// run really use three goroutines, however many CPUs the host has.
 func TestRecoveryWorkersDeterministic(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(3)
 	serial, err := Fig10(Params{Rounds: 5, Trials: 4, Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -379,11 +379,11 @@ func (e *engine) auditLeader(have map[int][]float64, avg []float64) error {
 	// ascending-index order as average(), so an honest leader matches
 	// bit-for-bit.
 	for s := 0; s < n; s++ {
-		e.sum.srcs = append(e.sum.srcs, claims[s*e.dim:(s+1)*e.dim])
+		e.sc.sum.srcs = append(e.sc.sum.srcs, claims[s*e.dim:(s+1)*e.dim])
 	}
 	check := make([]float64, e.dim)
-	e.sum.into(check, 1.0/float64(len(e.contributors)))
-	e.sum.reset()
+	e.sc.sum.into(check, 1.0/float64(len(e.contributors)))
+	e.sc.sum.reset()
 	accused := false
 	digests := make(map[int]uint64, n)
 	slot := 0

@@ -99,11 +99,12 @@ type Config struct {
 	// Telemetry, when non-nil, receives sac/* counters, per-phase
 	// duration histograms, and one trace event per aggregation.
 	Telemetry *telemetry.Registry
-	// Scratch, when non-nil, lets the engine reuse share blocks,
-	// subtotal vectors and receive containers across same-shaped rounds
-	// instead of reallocating them (see Scratch). Results are
-	// bit-identical either way; payloads observed on the mesh alias
-	// scratch memory, so observers must copy what they retain.
+	// Scratch holds the engine's share blocks, subtotal vectors and
+	// receive containers; passing the same one to same-shaped rounds
+	// reuses them instead of reallocating (see Scratch). Nil runs the
+	// round on a fresh Scratch of its own. Results are bit-identical
+	// either way; payloads observed on the mesh alias scratch memory,
+	// so observers must copy what they retain.
 	Scratch *Scratch
 	// Adversary marks peers with Byzantine behaviors for this round
 	// (nil: everyone honest). See Behavior.
@@ -193,9 +194,12 @@ func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan
 		rng = rand.New(rand.NewSource(1))
 	}
 
-	e := &engine{mesh: mesh, cfg: cfg, dim: dim, div: div, rng: rng, crash: crash, tel: newSACTel(cfg.Telemetry), sc: cfg.Scratch}
-	e.sc.begin(cfg.N, dim)
-	e.sum = e.sc.sumKernel()
+	sc := cfg.Scratch
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	sc.begin(cfg.N, dim)
+	e := &engine{mesh: mesh, cfg: cfg, dim: dim, div: div, rng: rng, crash: crash, tel: newSACTel(cfg.Telemetry), sc: sc}
 	e.tel.roundsStarted.Inc()
 	res, err := e.run(models)
 	if err != nil {
@@ -264,8 +268,7 @@ type engine struct {
 	rng   *rand.Rand
 	crash CrashPlan
 	tel   sacTel
-	sc    *Scratch // nil: allocate per round
-	sum   *sumKernel
+	sc    *Scratch
 
 	contributors []int
 	// subtotals[peer][shareIdx] — computed by peers holding shareIdx.
@@ -282,23 +285,6 @@ func (e *engine) crashAt(peer int, phase Phase) bool {
 	return ok && p == phase
 }
 
-// replicaSets returns the (n, k) replica assignment, served from the
-// scratch cache when one is wired (scratchless rounds compute it fresh).
-func (e *engine) replicaSets(n, k int) ([][]int, error) {
-	if e.sc != nil {
-		return e.sc.replicaSets(n, k)
-	}
-	sets := make([][]int, n)
-	for j := 0; j < n; j++ {
-		idx, err := secretshare.ReplicaIndices(j, n, k)
-		if err != nil {
-			return nil, err
-		}
-		sets[j] = idx
-	}
-	return sets, nil
-}
-
 func (e *engine) run(models [][]float64) (*Result, error) {
 	n, k := e.cfg.N, e.cfg.K
 	t0 := e.tel.reg.Now()
@@ -307,9 +293,9 @@ func (e *engine) run(models [][]float64) (*Result, error) {
 	// received[j][shareIdx][contributor] = share vector.
 	received := e.sc.receivedMaps(n)
 	// Replica assignment depends only on (n, k) — compute each
-	// receiver's share indices once, not once per contributor, and with
-	// a Scratch only once per shape (the cache survives across rounds).
-	replicas, err := e.replicaSets(n, k)
+	// receiver's share indices once per shape, not once per contributor
+	// (the Scratch cache survives across rounds).
+	replicas, err := e.sc.replicaSets(n, k)
 	if err != nil {
 		return nil, err
 	}
@@ -433,14 +419,14 @@ func (e *engine) run(models [][]float64) (*Result, error) {
 					complete = false
 					break
 				}
-				e.sum.srcs = append(e.sum.srcs, sh)
+				e.sc.sum.srcs = append(e.sc.sum.srcs, sh)
 			}
 			if complete {
 				sub := e.sc.subVec(e.dim)
-				e.sum.into(sub, 0)
+				e.sc.sum.into(sub, 0)
 				e.subtotals[j][s] = sub
 			}
-			e.sum.reset()
+			e.sc.sum.reset()
 		}
 		e.corruptSubtotals(j)
 	}
@@ -495,19 +481,15 @@ func (e *engine) store(received []map[int]map[int][]float64, peer, shareIdx, con
 	byContrib[contributor] = share
 }
 
-// divide splits contributor i's model into n shares — through the
-// flat-block scratch when one is configured, so steady-state rounds
-// reuse the same n·dim backing array per contributor.
+// divide splits contributor i's model into n shares in the scratch's
+// flat block for i, so steady-state rounds reuse the same n·dim backing
+// array per contributor.
 func (e *engine) divide(i int, w []float64, n int) ([][]float64, error) {
-	if e.sc == nil {
-		return e.div.Divide(w, n, e.rng)
-	}
-	block, views := e.sc.shareScratch(i)
-	shares, block, err := e.div.DivideInto(w, n, e.rng, block, views)
+	shares, block, err := e.div.DivideInto(w, n, e.rng, e.sc.shareBlocks[i], e.sc.shareViews[i])
 	if err != nil {
 		return nil, err
 	}
-	e.sc.keepShareScratch(i, block, shares)
+	e.sc.shareBlocks[i], e.sc.shareViews[i] = block, shares
 	return shares, nil
 }
 
@@ -659,11 +641,11 @@ func (e *engine) average(subtotals map[int][]float64) []float64 {
 	}
 	sort.Ints(keys)
 	for _, k := range keys {
-		e.sum.srcs = append(e.sum.srcs, subtotals[k])
+		e.sc.sum.srcs = append(e.sc.sum.srcs, subtotals[k])
 	}
 	avg := make([]float64, e.dim)
-	e.sum.into(avg, 1.0/float64(len(e.contributors)))
-	e.sum.reset()
+	e.sc.sum.into(avg, 1.0/float64(len(e.contributors)))
+	e.sc.sum.reset()
 	return avg
 }
 

@@ -13,13 +13,13 @@ import "repro/internal/secretshare"
 //
 // Reuse is observationally invisible: vectors are fully overwritten
 // after they are grabbed, maps are cleared, and Result.Avg is always
-// freshly allocated, so results stay bit-identical with and without a
-// Scratch. The one sharp edge is aliasing: share and subtotal payloads
-// sent through the mesh point into scratch memory, which the next
-// round overwrites. Mesh observers (Mesh.Observe) that retain payloads
-// across rounds must copy them, and a Scratch must not be shared by
-// two concurrent aggregations — give each subgroup its own (core.System
-// does exactly that).
+// freshly allocated, so a reused Scratch gives bit-identical results to
+// a fresh one. The one sharp edge is aliasing: share and subtotal
+// payloads sent through the mesh point into scratch memory, which the
+// next round overwrites. Mesh observers (Mesh.Observe) that retain
+// payloads across rounds must copy them, and a Scratch must not be
+// shared by two concurrent aggregations — give each subgroup its own
+// (core.System does exactly that).
 //
 // The zero value is ready to use; pass it via Config.Scratch.
 type Scratch struct {
@@ -46,7 +46,6 @@ type Scratch struct {
 	// of n+1 allocations per round (which at X-layer scale — tens of
 	// thousands of subgroup SACs per aggregation — dominated the garbage).
 	replicas [][]int
-	replFlat []int
 	replK    int
 }
 
@@ -54,47 +53,19 @@ type Scratch struct {
 // rewind so every buffer handed out last round is reclaimable, and a
 // shape change drops everything.
 func (s *Scratch) begin(n, dim int) {
-	if s == nil {
-		return
-	}
 	if s.n != n || s.dim != dim {
 		// The source list holds no vectors between rounds, so it
 		// survives a shape change.
-		*s = Scratch{n: n, dim: dim, sum: sumKernel{srcs: s.sum.srcs}}
+		*s = Scratch{n: n, dim: dim, sum: sumKernel{srcs: s.sum.srcs},
+			shareBlocks: make([][]float64, n), shareViews: make([][][]float64, n)}
 	}
 	s.subNext = 0
 	s.innNext = 0
 }
 
-// shareScratch returns contributor i's division scratch (nil slices on
-// first use — DivideInto grows them).
-func (s *Scratch) shareScratch(i int) ([]float64, [][]float64) {
-	if s == nil {
-		return nil, nil
-	}
-	if len(s.shareBlocks) < s.n {
-		s.shareBlocks = make([][]float64, s.n)
-		s.shareViews = make([][][]float64, s.n)
-	}
-	return s.shareBlocks[i], s.shareViews[i]
-}
-
-// keepShareScratch stores contributor i's (possibly regrown) division
-// buffers for the next round.
-func (s *Scratch) keepShareScratch(i int, block []float64, views [][]float64) {
-	if s == nil {
-		return
-	}
-	s.shareBlocks[i] = block
-	s.shareViews[i] = views
-}
-
 // subVec returns a dim-length subtotal vector, reusing last round's. Its
 // contents are stale: the subtotal pass overwrites every coordinate.
 func (s *Scratch) subVec(dim int) []float64 {
-	if s == nil {
-		return make([]float64, dim)
-	}
 	if s.subNext == len(s.subVecs) {
 		s.subVecs = append(s.subVecs, make([]float64, dim))
 	}
@@ -103,25 +74,9 @@ func (s *Scratch) subVec(dim int) []float64 {
 	return v
 }
 
-// sumKernel returns the engine's data-plane kernel with an empty source
-// list whose capacity survives across rounds.
-func (s *Scratch) sumKernel() *sumKernel {
-	if s == nil {
-		return new(sumKernel)
-	}
-	return &s.sum
-}
-
 // receivedMaps returns the phase-1 receive structure: n empty outer
 // maps (cleared, not reallocated, on reuse).
 func (s *Scratch) receivedMaps(n int) []map[int]map[int][]float64 {
-	if s == nil {
-		out := make([]map[int]map[int][]float64, n)
-		for j := range out {
-			out[j] = make(map[int]map[int][]float64)
-		}
-		return out
-	}
 	if len(s.received) != n {
 		s.received = make([]map[int]map[int][]float64, n)
 	}
@@ -138,9 +93,6 @@ func (s *Scratch) receivedMaps(n int) []map[int]map[int][]float64 {
 // innerMap returns an empty by-contributor share map from the free
 // list.
 func (s *Scratch) innerMap() map[int][]float64 {
-	if s == nil {
-		return make(map[int][]float64)
-	}
 	if s.innNext == len(s.inner) {
 		s.inner = append(s.inner, make(map[int][]float64))
 	}
@@ -153,9 +105,6 @@ func (s *Scratch) innerMap() map[int][]float64 {
 // subtotalSlice returns the phase-2 per-peer slice, nil-filled. The
 // per-peer maps themselves come from innerMap (same shape).
 func (s *Scratch) subtotalSlice(n int) []map[int][]float64 {
-	if s == nil {
-		return make([]map[int][]float64, n)
-	}
 	if len(s.subtotals) != n {
 		s.subtotals = make([]map[int][]float64, n)
 	}
@@ -167,9 +116,6 @@ func (s *Scratch) subtotalSlice(n int) []map[int][]float64 {
 
 // haveMap returns the leader's empty subtotal-collection map.
 func (s *Scratch) haveMap(n int) map[int][]float64 {
-	if s == nil {
-		return make(map[int][]float64, n)
-	}
 	if s.have == nil {
 		s.have = make(map[int][]float64, n)
 	} else {
@@ -196,16 +142,13 @@ func (s *Scratch) replicaSets(n, k int) ([][]int, error) {
 		}
 		sets[j] = flat[start:len(flat):len(flat)]
 	}
-	s.replicas, s.replFlat, s.replK = sets, flat, k
+	s.replicas, s.replK = sets, k
 	return sets, nil
 }
 
 // sortKeys returns a reusable int slice for average's deterministic
 // key ordering.
 func (s *Scratch) sortKeys(capHint int) []int {
-	if s == nil {
-		return make([]int, 0, capHint)
-	}
 	if cap(s.keys) < capHint {
 		s.keys = make([]int, 0, capHint)
 	}

@@ -7,9 +7,10 @@ import (
 	"repro/internal/transport"
 )
 
-// The SACRoundAllocs pair is the allocation contract of the scratch
-// path: identical 8-peer k-out-of-n rounds, one variant allocating
-// everything per round (Scratch nil) and one reusing a warmed Scratch.
+// The SACRoundAllocs pair is the allocation contract of Scratch reuse:
+// identical 8-peer k-out-of-n rounds, one variant on a fresh Scratch
+// per round (Config.Scratch nil, so Run makes its own) and one reusing
+// a warmed Scratch.
 // `make bench-check` gates allocs/op of the pooled variant at ≤ 0.5×
 // the fresh variant (cmd/p2pfl-benchjson -pairs
 // 'allocs:SACRoundAllocsPooled=SACRoundAllocsFresh@0.5'). Both

@@ -45,8 +45,8 @@ func requireSameResult(t *testing.T, got, want *Result) {
 // TestScratchBitIdenticalAcrossRounds is the reuse contract: a Scratch
 // carried across consecutive rounds — including rounds exercising the
 // crash/recovery path, where subtotal vectors and receive maps are only
-// partially used — must produce exactly the results of scratchless
-// runs. Buffer recycling may never leak one round's values into the
+// partially used — must produce exactly the results of runs on a fresh
+// Scratch. Buffer recycling may never leak one round's values into the
 // next.
 func TestScratchBitIdenticalAcrossRounds(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
@@ -101,6 +101,47 @@ func TestScratchAvgDoesNotAliasScratch(t *testing.T) {
 	for i := range snapshot {
 		if first.Avg[i] != snapshot[i] {
 			t.Fatal("Result.Avg mutated by scratch reuse — it aliases scratch memory")
+		}
+	}
+}
+
+// TestScratchReplicaCacheFollowsK: the replica cache is keyed on the
+// round shape (N, dim) like every other buffer, plus K, so a Scratch
+// reused across rounds whose threshold changes under an unchanged shape
+// must rebuild the assignment. Every round — K = 7, 5, 7 with peer 7
+// crashing after its shares — must equal a fresh Scratch bit for bit,
+// charge exactly the Sec. VII-B closed form plus one 8-byte index per
+// recovery request, and recover the crashed peer's subtotal.
+func TestScratchReplicaCacheFollowsK(t *testing.T) {
+	const n, dim, victim = 8, 16, 7
+	models := randModels(rand.New(rand.NewSource(37)), n, dim)
+	crash := CrashPlan{victim: AfterShares}
+	sc := &Scratch{}
+	for round, k := range []int{7, 5, 7} {
+		cfg := Config{N: n, K: k, Leader: 0, Mode: ModeLeader}
+		want := runOnce(t, cfg, models, crash, int64(400+round))
+
+		cfg.Scratch = sc
+		cfg.Rng = rand.New(rand.NewSource(int64(400 + round)))
+		mesh := transport.NewMesh(n, nil)
+		got, err := Run(mesh, cfg, models, crash)
+		if err != nil {
+			t.Fatalf("round %d (K=%d): %v", round, k, err)
+		}
+		requireSameResult(t, got, want)
+		if len(got.Contributors) != n || len(got.Recovered) == 0 {
+			t.Fatalf("round %d (K=%d): contributors %v, recovered %v; want all %d and a recovery",
+				round, k, got.Contributors, got.Recovered, n)
+		}
+		if d := maxAbsDiff(got.Avg, trueMean(models, allPeers(n))); d > 1e-9 {
+			t.Fatalf("round %d (K=%d): average off by %v", round, k, d)
+		}
+		w := int64(8 * dim)
+		rec := mesh.Counter().Messages(KindRecoveryReq)
+		wantBytes := int64(n*(n-1)*(n-k+1)+(k-1))*w + 8*rec
+		if gotBytes := mesh.Counter().TotalBytes(); gotBytes != wantBytes {
+			t.Fatalf("round %d (K=%d): %d bytes, closed form %d (%d recovery requests)",
+				round, k, gotBytes, wantBytes, rec)
 		}
 	}
 }

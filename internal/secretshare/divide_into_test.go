@@ -65,8 +65,8 @@ func requireBitIdentical(t *testing.T, got, want [][]float64) {
 
 // TestDivideBitIdenticalToReference is satellite-level proof that the
 // single-backing-array rewrite changed nothing observable: for every
-// scheme, n, and seed tried, Divide and DivideInto (cold and with
-// recycled scratch) all equal the original per-share-allocation code.
+// scheme, n, and seed tried, DivideInto — cold (nil scratch) and with
+// recycled scratch — equals the original per-share-allocation code.
 func TestDivideBitIdenticalToReference(t *testing.T) {
 	w := make([]float64, 37)
 	rng := rand.New(rand.NewSource(42))
@@ -76,14 +76,14 @@ func TestDivideBitIdenticalToReference(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8} {
 		for seed := int64(0); seed < 5; seed++ {
 			ref := refScalarDivide(w, n, rand.New(rand.NewSource(seed)))
-			got, err := ScalarDivider{}.Divide(w, n, rand.New(rand.NewSource(seed)))
+			got, _, err := ScalarDivider{}.DivideInto(w, n, rand.New(rand.NewSource(seed)), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireBitIdentical(t, got, ref)
 
 			refM := refMaskDivide(w, n, 20, rand.New(rand.NewSource(seed)))
-			gotM, err := MaskDivider{Scale: 20}.Divide(w, n, rand.New(rand.NewSource(seed)))
+			gotM, _, err := MaskDivider{Scale: 20}.DivideInto(w, n, rand.New(rand.NewSource(seed)), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestDivideSingleBackingAllocation(t *testing.T) {
 		{MaskDivider{Scale: 10}, 2},
 	} {
 		got := testing.AllocsPerRun(50, func() {
-			if _, err := tc.d.Divide(w, n, rng); err != nil {
+			if _, _, err := tc.d.DivideInto(w, n, rng, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -8,10 +8,10 @@ import (
 )
 
 // Splitting a weight vector into additive shares and reconstructing it.
-func ExampleMaskDivider_Divide() {
+func ExampleMaskDivider_DivideInto() {
 	rng := rand.New(rand.NewSource(1))
 	secret := []float64{10, 20, 30}
-	shares, err := secretshare.MaskDivider{Scale: 50}.Divide(secret, 3, rng)
+	shares, _, err := secretshare.MaskDivider{Scale: 50}.DivideInto(secret, 3, rng, nil, nil)
 	if err != nil {
 		panic(err)
 	}

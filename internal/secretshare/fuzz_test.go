@@ -24,7 +24,7 @@ func FuzzDivideReconstruct(f *testing.F) {
 		w := []float64{a, b}
 		rng := rand.New(rand.NewSource(seed))
 		for _, d := range []Divider{ScalarDivider{}, MaskDivider{Scale: 1 + math.Abs(a)}} {
-			shares, err := d.Divide(w, n, rng)
+			shares, _, err := d.DivideInto(w, n, rng, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", d.Name(), err)
 			}

@@ -37,7 +37,7 @@ func TestParallelDivideBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tensor.SetParallelism(1)
 			refRng := rand.New(rand.NewSource(seed))
-			ref, err := d.Divide(w, n, refRng)
+			ref, _, err := d.DivideInto(w, n, refRng, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func TestParallelDivideReconstructs(t *testing.T) {
 	w := make([]float64, tensor.ParallelVecFloor+5)
 	copy(w, []float64{1.5, -2.25, 0, 3.75, 1e-3})
 	for _, d := range []Divider{ScalarDivider{}, MaskDivider{}} {
-		shares, err := d.Divide(w, 4, rand.New(rand.NewSource(5)))
+		shares, _, err := d.DivideInto(w, 4, rand.New(rand.NewSource(5)), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,9 @@
 // Package secretshare implements the additive secret-sharing primitives
 // underlying Secure Average Computation:
 //
-//   - DivideScalar — the paper's Alg. 1: the weight vector is split into N
-//     shares by N normalized random fractions, par_w_i = prn_i·w.
-//   - DivideMask — standard additive masking: the first N−1 shares are
+//   - ScalarDivider — the paper's Alg. 1: the weight vector is split into
+//     N shares by N normalized random fractions, par_w_i = prn_i·w.
+//   - MaskDivider — standard additive masking: the first N−1 shares are
 //     uniform random vectors and the last is w minus their sum. Every
 //     proper subset of shares is (information-theoretically) independent
 //     of w, which is strictly stronger than Alg. 1's collinear shares.
@@ -25,14 +25,13 @@ import (
 
 // Divider splits a secret vector into n additive shares.
 type Divider interface {
-	// Divide returns n share vectors whose elementwise sum is w.
-	Divide(w []float64, n int, rng *rand.Rand) ([][]float64, error)
-	// DivideInto is Divide with caller-owned scratch: all n shares are
-	// written into one flat block (regrown only when too small) and the
-	// returned views are slices of it, one per share. It returns the
-	// views, the backing block (hand both back on the next call to
-	// reuse them), and an error. Given the same rng state it produces
-	// bit-identical shares to Divide.
+	// DivideInto returns n share vectors whose elementwise sum is w.
+	// All n shares are written into one flat block and the returned
+	// views are slices of it, one per share. The block and views
+	// arguments are caller-owned scratch, regrown only when too small:
+	// nil, nil allocates a fresh block, and handing back the returned
+	// views and backing block on the next call reuses them. The shares
+	// depend only on w, n and the rng state, never on the scratch.
 	DivideInto(w []float64, n int, rng *rand.Rand, block []float64, views [][]float64) ([][]float64, []float64, error)
 	// Name identifies the scheme for logs and benchmarks.
 	Name() string
@@ -71,13 +70,6 @@ type ScalarDivider struct{}
 
 // Name implements Divider.
 func (ScalarDivider) Name() string { return "scalar (Alg. 1)" }
-
-// Divide implements Divider. All n shares live in one backing array —
-// one bulk allocation instead of n per-share ones.
-func (d ScalarDivider) Divide(w []float64, n int, rng *rand.Rand) ([][]float64, error) {
-	shares, _, err := d.DivideInto(w, n, rng, nil, nil)
-	return shares, err
-}
 
 // scalarFill writes shares[i][j] = f[i]·w[j], one L1 block of w at a
 // time.
@@ -146,13 +138,6 @@ type MaskDivider struct {
 
 // Name implements Divider.
 func (m MaskDivider) Name() string { return "mask (uniform additive)" }
-
-// Divide implements Divider. All n shares live in one backing array —
-// one bulk allocation instead of n per-share ones.
-func (m MaskDivider) Divide(w []float64, n int, rng *rand.Rand) ([][]float64, error) {
-	shares, _, err := m.DivideInto(w, n, rng, nil, nil)
-	return shares, err
-}
 
 // maskFill turns the raw uniforms u held in shares 0..n−2 into masks
 // r = (2u−1)·scale and writes w − r_0 − r_1 − … into the last share,

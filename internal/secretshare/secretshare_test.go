@@ -30,7 +30,7 @@ func TestDividersReconstruct(t *testing.T) {
 	for _, d := range []Divider{ScalarDivider{}, MaskDivider{Scale: 50}} {
 		for _, n := range []int{1, 2, 3, 5, 10} {
 			w := randVec(rng, 32)
-			shares, err := d.Divide(w, n, rng)
+			shares, _, err := d.DivideInto(w, n, rng, nil, nil)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", d.Name(), n, err)
 			}
@@ -57,7 +57,7 @@ func TestDivideReconstructProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		w := randVec(rng, dim)
 		for _, d := range []Divider{ScalarDivider{}, MaskDivider{}} {
-			shares, err := d.Divide(w, n, rng)
+			shares, _, err := d.DivideInto(w, n, rng, nil, nil)
 			if err != nil {
 				return false
 			}
@@ -79,10 +79,10 @@ func TestDivideReconstructProperty(t *testing.T) {
 func TestDivideErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, d := range []Divider{ScalarDivider{}, MaskDivider{}} {
-		if _, err := d.Divide([]float64{1}, 0, rng); err == nil {
+		if _, _, err := d.DivideInto([]float64{1}, 0, rng, nil, nil); err == nil {
 			t.Fatalf("%s: want error for n=0", d.Name())
 		}
-		if _, err := d.Divide(nil, 3, rng); err == nil {
+		if _, _, err := d.DivideInto(nil, 3, rng, nil, nil); err == nil {
 			t.Fatalf("%s: want error for empty secret", d.Name())
 		}
 	}
@@ -99,7 +99,7 @@ func TestMaskSharesLookRandom(t *testing.T) {
 	// correlation with w should be near zero, unlike ScalarDivider.
 	rng := rand.New(rand.NewSource(3))
 	w := randVec(rng, 4096)
-	shares, err := MaskDivider{Scale: 10}.Divide(w, 3, rng)
+	shares, _, err := MaskDivider{Scale: 10}.DivideInto(w, 3, rng, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestMaskSharesLookRandom(t *testing.T) {
 		t.Fatalf("mask share correlates with secret: %v", c)
 	}
 	// The paper's scalar shares ARE collinear — document that contrast.
-	sshares, err := ScalarDivider{}.Divide(w, 3, rng)
+	sshares, _, err := ScalarDivider{}.DivideInto(w, 3, rng, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func BenchmarkDivideVariants(b *testing.B) {
 		b.Run(d.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.Divide(w, 5, rng); err != nil {
+				if _, _, err := d.DivideInto(w, 5, rng, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

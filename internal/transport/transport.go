@@ -1,8 +1,9 @@
 // Package transport provides the message-passing substrate shared by the
 // aggregation protocols: an in-memory mesh with exact byte accounting
 // (used by the SAC engines and the two-layer system, and to cross-check
-// the paper's closed-form communication-cost formulas) and a gob-over-TCP
-// transport for running real peers (cmd/p2pfl-node).
+// the paper's closed-form communication-cost formulas) and TCP
+// transports framed with the internal/wire codec for running real peers
+// (RaftTCP for cmd/p2pfl-node, TCPMesh for SAC over sockets).
 package transport
 
 import (
@@ -152,7 +153,7 @@ type meshTel struct {
 	bytesSent    *telemetry.Counter
 	msgsReceived *telemetry.Counter
 	msgsDropped  *telemetry.Counter
-	bytesSaved   *telemetry.Counter // uncompressed − accounted, per compressed send
+	bytesSaved   *telemetry.Counter   // uncompressed − accounted, per compressed send
 	peerMsgs     []*telemetry.Counter // indexed by sender
 	peerBytes    []*telemetry.Counter
 }

@@ -184,10 +184,10 @@ func TestDeltaStrictDecoding(t *testing.T) {
 		// Claim 2^31 int8 values in a 3-byte tail: the count guard must
 		// reject before allocating.
 		p := append([]byte(nil), quant[HeaderSize:HeaderSize+envLen]...)
-		p = append(p, 1)                      // width
-		p = append(p, make([]byte, 8)...)     // scale
-		p = appendUint32(p, 1<<31-1)          // count
-		p = append(p, 1, 2, 3)                // only 3 bytes of values
+		p = append(p, 1)                  // width
+		p = append(p, make([]byte, 8)...) // scale
+		p = appendUint32(p, 1<<31-1)      // count
+		p = append(p, 1, 2, 3)            // only 3 bytes of values
 		if _, _, err := DecodeQuantPayload(p); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("got %v, want ErrTruncated", err)
 		}
